@@ -239,7 +239,8 @@ void RunProjectBench(benchmark::State& state, bool vectorized) {
   const Workload& w = SharedWorkload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     std::unique_ptr<ProjectStream> project = ValueOrDie(
-        ProjectStream::Create(VectorStream::Scan(w.x), {0, 2, 3}, vectorized),
+        ProjectStream::Create(VectorStream::Scan(w.x), {0, 2, 3}, {},
+                              vectorized),
         "project");
     benchmark::DoNotOptimize(
         ValueOrDie(DrainCountBatches(project.get(), 1024), "drain"));

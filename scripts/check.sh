@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate (ROADMAP.md): build and test three trees —
 #   build/       plain RelWithDebInfo, full ctest
-#   build-tsan/  ThreadSanitizer, the concurrency suites + chaos harness
+#   build-tsan/  ThreadSanitizer, the suites labeled `concurrency` (server_test
+#                and storage_test's many-thread page-I/O counters) + the
+#                chaos harness
 #   build-asan/  AddressSanitizer+UBSan, full ctest
 # Each tree then re-runs its suites with TEMPUS_FRAME_BUDGET=4, forcing
 # every disk-backed scan through a 4-frame buffer pool so eviction and

@@ -186,9 +186,11 @@ double EstimateContainPairs(const IntervalStats& x, const IntervalStats& y) {
     fit = y.durations.FractionBelow(
         static_cast<TimePoint>(std::llround(x.mean_duration)));
   } else {
-    fit = x.mean_duration <= 0.0
-              ? 0.0
-              : std::max(0.0, 1.0 - y.mean_duration / x.mean_duration);
+    // Memoryless fit: P(Y < X) for exponential durations with these means.
+    // It nears 1 - y.mean/x.mean when y.mean << x.mean, but stays positive
+    // for a self-join, where that linear term is 0.
+    const double sum = x.mean_duration + y.mean_duration;
+    fit = sum <= 0.0 ? 0.0 : x.mean_duration / sum;
   }
   return std::min(static_cast<double>(x.tuple_count) * arrivals * fit,
                   Cross(x, y));

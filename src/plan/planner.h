@@ -41,11 +41,9 @@ struct PlannerOptions {
   /// Stream operators verify their inputs' promised sort orders at run
   /// time (small per-tuple cost; invaluable during development).
   bool verify_sorted_inputs = true;
-  /// Worker threads for the pairwise temporal operators. 1 (the default)
-  /// plans the plain sequential operators; 0 means "one per hardware
-  /// thread"; K > 1 time-range partitions each pairwise join/semijoin
-  /// across a K-worker pool (src/parallel/, docs/PARALLEL.md). Results are
-  /// identical to the sequential plan.
+  /// Must be 1: every operator runs as one sequential sweep, and Plan()
+  /// rejects any other value with InvalidArgument. The field stays because
+  /// the benchmark program (perfbench/workloads.cc) still assigns it.
   size_t threads = 1;
   /// Batch size for the batch-at-a-time sweep operators (docs/BATCH.md).
   /// kNoBatchOverride (the default) resolves to the TEMPUS_BATCH_SIZE
@@ -95,7 +93,7 @@ struct PlannedQuery {
   Result<TemporalRelation> Execute();
 
   /// The EXPLAIN ANALYZE view: per-node labels, runtime counters, GC
-  /// accounting, worker attribution, and wall time. Call after Execute();
+  /// accounting, and wall time. Call after Execute();
   /// requires options.analyze (otherwise explains how to enable it).
   std::string AnalyzeReport() const;
 

@@ -12,9 +12,11 @@ namespace tempus {
 /// Query admission control: at most `max_active` queries execute at once,
 /// at most `max_queued` more wait for a slot, and everything beyond that
 /// is rejected immediately with Status::Unavailable — the clean REJECTED
-/// response under overload. The bounded-workspace stream operators make
-/// this tractable: an admitted query's memory is bounded, so capacity is
-/// simply a slot count rather than a memory estimate.
+/// response under overload. Capacity is a slot count, not a memory
+/// estimate. The stream operators bound each query's workspace, but not
+/// its result: the server materializes the whole result, and a
+/// before-join over 3k x 3k tuples emits about 4.6M rows, so one admitted
+/// query's memory is not bounded (ROADMAP item 4).
 class AdmissionController {
  public:
   AdmissionController(size_t max_active, size_t max_queued)

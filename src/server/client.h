@@ -30,9 +30,6 @@ struct QueryResponse {
 struct QueryCallOptions {
   /// Per-query deadline in milliseconds; 0 defers to the server default.
   uint32_t deadline_ms = 0;
-  /// Worker threads for the plan; kServerDefaultThreads defers to the
-  /// server's configured PlannerOptions (0 = one per hardware thread).
-  uint32_t threads = wire::kServerDefaultThreads;
 };
 
 /// A blocking client for the TQL wire protocol (docs/SERVER.md). One

@@ -39,8 +39,10 @@ enum class FrameType : uint8_t {
 /// malformed (or hostile) peer and fail the connection.
 inline constexpr size_t kMaxFramePayload = 16u << 20;
 
-/// Sentinel for "use the server's configured PlannerOptions::threads" in
-/// the kQuery threads field (0 itself means one-per-hardware-thread).
+/// The value clients send in the kQuery threads field. The field is kept
+/// for frame compatibility only: every plan is one sequential sweep, and
+/// the server refuses any value other than this sentinel or 1 with an
+/// InvalidArgument error frame.
 inline constexpr uint32_t kServerDefaultThreads = 0xFFFFFFFFu;
 
 struct Frame {

@@ -20,9 +20,7 @@ namespace tempus {
 
 namespace {
 
-/// Field-wise counter sum for cross-query aggregates (unlike
-/// OperatorMetrics::Absorb, which models a parent absorbing a child's
-/// in-flight state inside one plan).
+/// Field-wise counter sum for cross-query aggregates.
 void Accumulate(OperatorMetrics* total, const OperatorMetrics& m) {
   total->tuples_read_left += m.tuples_read_left;
   total->tuples_read_right += m.tuples_read_right;
@@ -269,6 +267,15 @@ Status TqlServer::HandleQuery(Session* session, const wire::Frame& frame) {
                wire::EncodeError(request.status()));
     return request.status();  // Malformed body: close the session.
   }
+  // Every plan is one sequential sweep; the field survives only for frame
+  // compatibility, so a worker count is refused before it costs a slot.
+  if (request->threads != wire::kServerDefaultThreads &&
+      request->threads != 1) {
+    counters_.queries_failed.fetch_add(1);
+    return Send(session, wire::FrameType::kError,
+                wire::EncodeError(Status::InvalidArgument(StrFormat(
+                    "query threads must be 1, got %u", request->threads))));
+  }
 
   const Status admitted = admission_.Acquire();
   if (!admitted.ok()) {
@@ -293,9 +300,6 @@ Status TqlServer::HandleQuery(Session* session, const wire::Frame& frame) {
 
   PlannerOptions planner_options = options_.planner;
   planner_options.cancel = &token;
-  if (request->threads != wire::kServerDefaultThreads) {
-    planner_options.threads = request->threads;
-  }
   Result<QueryRun> run = engine_->RunQuery(request->tql, planner_options);
 
   {

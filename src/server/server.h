@@ -39,8 +39,7 @@ struct ServerOptions {
   uint32_t shutdown_cancel_after_ms = 2000;
   /// Result CSV bytes per kRows frame.
   size_t row_batch_bytes = 64 * 1024;
-  /// Base planner options for every query; a request's threads field
-  /// (when not kServerDefaultThreads) overrides `planner.threads`.
+  /// Planner options for every query.
   PlannerOptions planner;
 };
 

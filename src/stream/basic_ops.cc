@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace tempus {
 
 FilterStream::FilterStream(std::unique_ptr<TupleStream> child,
@@ -79,15 +81,35 @@ Result<bool> FilterStream::NextBatchImpl(TupleBatch* out, size_t max_rows) {
 }
 
 Result<std::unique_ptr<ProjectStream>> ProjectStream::Create(
-    std::unique_ptr<TupleStream> child, std::vector<size_t> indices) {
-  return Create(std::move(child), std::move(indices), VectorKernelsEnabled());
+    std::unique_ptr<TupleStream> child, std::vector<size_t> indices,
+    std::vector<std::string> names) {
+  return Create(std::move(child), std::move(indices), std::move(names),
+                VectorKernelsEnabled());
 }
 
 Result<std::unique_ptr<ProjectStream>> ProjectStream::Create(
     std::unique_ptr<TupleStream> child, std::vector<size_t> indices,
-    bool vectorized) {
+    std::vector<std::string> names, bool vectorized) {
   TEMPUS_ASSIGN_OR_RETURN(Schema schema,
                           child->schema().Project(indices));
+  if (!names.empty()) {
+    if (names.size() != indices.size()) {
+      return Status::InvalidArgument(
+          StrFormat("projection names %zu attributes, but selects %zu",
+                    names.size(), indices.size()));
+    }
+    std::vector<AttributeDef> attrs;
+    for (size_t i = 0; i < names.size(); ++i) {
+      attrs.push_back({std::move(names[i]), schema.attribute(i).type});
+    }
+    TEMPUS_ASSIGN_OR_RETURN(Schema renamed, Schema::Create(attrs));
+    if (schema.has_lifespan()) {
+      TEMPUS_RETURN_IF_ERROR(
+          renamed.SetLifespan(attrs[schema.valid_from_index()].name,
+                              attrs[schema.valid_to_index()].name));
+    }
+    schema = std::move(renamed);
+  }
   return std::unique_ptr<ProjectStream>(
       new ProjectStream(std::move(child), std::move(indices),
                         std::move(schema), vectorized));
@@ -186,15 +208,6 @@ MapStream::MapStream(std::unique_ptr<TupleStream> child, Schema output_schema,
       schema_(std::move(output_schema)),
       transform_(std::move(transform)) {}
 
-std::unique_ptr<MapStream> MapStream::Rename(
-    std::unique_ptr<TupleStream> child, Schema output_schema) {
-  auto stream = std::make_unique<MapStream>(
-      std::move(child), std::move(output_schema),
-      [](const Tuple& t) -> Result<Tuple> { return t; });
-  stream->identity_ = true;
-  return stream;
-}
-
 Status MapStream::OpenImpl() {
   ++metrics_.passes_left;
   return child_->Open();
@@ -207,16 +220,6 @@ Result<bool> MapStream::NextImpl(Tuple* out) {
   ++metrics_.tuples_read_left;
   TEMPUS_ASSIGN_OR_RETURN(*out, transform_(row));
   ++metrics_.tuples_emitted;
-  return true;
-}
-
-Result<bool> MapStream::NextBatchImpl(TupleBatch* out, size_t max_rows) {
-  if (!identity_) return TupleStream::NextBatchImpl(out, max_rows);
-  TEMPUS_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out, max_rows));
-  if (!more) return false;
-  const size_t n = out->ActiveSize();
-  metrics_.tuples_read_left += n;
-  metrics_.tuples_emitted += n;
   return true;
 }
 

@@ -68,13 +68,16 @@ class FilterStream : public TupleStream {
 /// allocation and no adapter hop.
 class ProjectStream : public TupleStream {
  public:
-  /// Fails if any index is out of range for the child schema.
+  /// Fails if any index is out of range for the child schema. `names`
+  /// renames the output attributes positionally (empty keeps the child's
+  /// names); the lifespan designation follows its columns either way.
   /// `vectorized` defaults to the TEMPUS_VECTOR_KERNELS knob.
   static Result<std::unique_ptr<ProjectStream>> Create(
-      std::unique_ptr<TupleStream> child, std::vector<size_t> indices);
+      std::unique_ptr<TupleStream> child, std::vector<size_t> indices,
+      std::vector<std::string> names = {});
   static Result<std::unique_ptr<ProjectStream>> Create(
       std::unique_ptr<TupleStream> child, std::vector<size_t> indices,
-      bool vectorized);
+      std::vector<std::string> names, bool vectorized);
 
   const Schema& schema() const override { return schema_; }
   Status OpenImpl() override;
@@ -134,16 +137,9 @@ class MapStream : public TupleStream {
   MapStream(std::unique_ptr<TupleStream> child, Schema output_schema,
             Transform transform);
 
-  /// Pure schema rename: rows pass through unchanged, so NextBatch
-  /// forwards child batches as-is (zero copies, selection vector intact)
-  /// and only `schema()` reflects the substitution.
-  static std::unique_ptr<MapStream> Rename(std::unique_ptr<TupleStream> child,
-                                           Schema output_schema);
-
   const Schema& schema() const override { return schema_; }
   Status OpenImpl() override;
   Result<bool> NextImpl(Tuple* out) override;
-  Result<bool> NextBatchImpl(TupleBatch* out, size_t max_rows) override;
   std::vector<const TupleStream*> children() const override {
     return {child_.get()};
   }
@@ -152,7 +148,6 @@ class MapStream : public TupleStream {
   std::unique_ptr<TupleStream> child_;
   Schema schema_;
   Transform transform_;
-  bool identity_ = false;
 };
 
 /// Removes duplicate tuples (set projection semantics). Workspace is a hash

@@ -14,7 +14,8 @@ namespace testing {
 /// The pairwise temporal operators under differential test — the paper's
 /// Figure 2 operator set as realized by the stream library plus the
 /// sequenced outer/anti joins, set operations, and coalescing (see
-/// src/parallel/parallel_ops.h for the production factories).
+/// BuildStreamOperator in testing/differential.cc for the production
+/// factories).
 enum class PairwiseOp {
   kContainJoin,
   kOverlapJoin,

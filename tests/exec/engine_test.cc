@@ -82,6 +82,61 @@ TEST(EngineTest, PlannerOptionsReachExecution) {
 }
 
 
+TEST(EngineTest, HashEquiJoinLabelsOnlyARestrictingMask) {
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(
+      MakeIntervals("R", {{0, 10}, {2, 4}, {3, 5}, {12, 20}})));
+  PlannerOptions naive;
+  naive.style = PlanStyle::kNaive;
+  // An equi link with no temporal predicate: every Allen relation passes,
+  // so the mask restricts nothing and EXPLAIN names none.
+  const std::string unrestricted =
+      "range of a is R range of b is R retrieve (a.S, b.S) where a.S = b.S";
+  Result<std::string> explain = engine.Explain(unrestricted);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("Hash equi-join est="), std::string::npos)
+      << *explain;
+  EXPECT_EQ(explain->find("[+ mask"), std::string::npos) << *explain;
+  Result<TemporalRelation> r1 = engine.Run(unrestricted);
+  Result<TemporalRelation> r2 = engine.Run(unrestricted, naive);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_TRUE(r1->EqualsIgnoringOrder(*r2));
+
+  // A temporal predicate beside the equi link is a residual the label
+  // must show.
+  const std::string restricted =
+      "range of a is R range of b is R retrieve (a.S, b.S) "
+      "where a.S = b.S and a overlap b";
+  explain = engine.Explain(restricted);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("Hash equi-join [+ mask {"), std::string::npos)
+      << *explain;
+  r1 = engine.Run(restricted);
+  r2 = engine.Run(restricted, naive);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_TRUE(r1->EqualsIgnoringOrder(*r2));
+}
+
+TEST(EngineTest, PlannerRejectsThreadsOtherThanOne) {
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(
+      MakeIntervals("R", {{0, 10}, {2, 4}})));
+  const std::string query =
+      "range of a is R range of b is R retrieve (a.S, b.S) "
+      "where a contains b";
+  PlannerOptions options;
+  for (size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
+    options.threads = threads;
+    Result<TemporalRelation> result = engine.Run(query, options);
+    ASSERT_FALSE(result.ok()) << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  options.threads = 1;
+  Result<TemporalRelation> result = engine.Run(query, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), 1u);
+}
+
 TEST(EngineTest, OrderByOnOutputs) {
   Engine engine;
   TEMPUS_ASSERT_OK(engine.mutable_catalog()->Register(

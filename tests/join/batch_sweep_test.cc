@@ -17,7 +17,6 @@
 #include "gtest/gtest.h"
 #include "join/containment_semijoin.h"
 #include "join/self_semijoin.h"
-#include "parallel/parallel_ops.h"
 #include "testing/test_util.h"
 
 namespace tempus {
@@ -242,9 +241,9 @@ TEST(BatchSweepTest, MidAndLargeBatchSizesMatchTuple) {
   }
 }
 
-TEST(BatchSweepTest, PartialFinalBatchThroughParallelMerge) {
-  // 37 tuples across 3 workers with B=4: every slice ends in a partial
-  // batch, and the merge must still reproduce the sequential tuple result.
+TEST(BatchSweepTest, PartialFinalBatchMatchesTuplePath) {
+  // 37 tuples per side with B=4: both inputs end in a partial batch, and
+  // the batch sweep must still reproduce the tuple result.
   const TemporalRelation x = MakeRandomRel("x", 37, 4242);
   const TemporalRelation y = MakeRandomRel("y", 37, 4243);
   const TemporalRelation xs = SortedByOrder(x, kByValidFromAsc);
@@ -259,16 +258,15 @@ TEST(BatchSweepTest, PartialFinalBatchThroughParallelMerge) {
 
   ContainJoinOptions batch_options;
   batch_options.batch_size = 4;
-  Result<std::unique_ptr<TupleStream>> parallel = MakeParallelContainJoin(
-      VectorStream::Scan(xs), VectorStream::Scan(ys), batch_options,
-      /*threads=*/3);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  Result<std::unique_ptr<TupleStream>> batch_op = MakeContainJoin(
+      VectorStream::Scan(xs), VectorStream::Scan(ys), batch_options);
+  ASSERT_TRUE(batch_op.ok()) << batch_op.status().ToString();
   Result<TemporalRelation> actual =
-      MaterializeBatches(parallel->get(), "parallel", 4);
+      MaterializeBatches(batch_op->get(), "batch", 4);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
   ExpectSameTuples(*actual, *expected);
 
-  const OperatorMetrics m = CollectPlanMetrics(**parallel);
+  const OperatorMetrics m = CollectPlanMetrics(**batch_op);
   EXPECT_EQ(m.workspace_inserted, m.gc_discarded + m.workspace_tuples);
 }
 

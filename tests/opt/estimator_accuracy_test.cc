@@ -152,5 +152,48 @@ TEST(EstimatorAccuracyTest, EveryDistributionTimesArrangement) {
   }
 }
 
+/// Self-joins over an unanalyzed relation: the planner then holds only
+/// the coarse scalars (CoarseStats), so EstimateContainPairs falls back to
+/// its duration-fit term with x.mean == y.mean. The estimate must stay
+/// within the containment factor of the brute-force truth — in particular
+/// it must not collapse to 0 while thousands of pairs exist.
+void CheckCoarseSelfJoin(Distribution d, Arrangement a) {
+  const std::string what = std::string(DistributionName(d)) + "/" +
+                           std::string(ArrangementName(a)) + " self";
+  WorkloadSpec spec;
+  spec.distribution = d;
+  spec.arrangement = a;
+  spec.count = kCount;
+  spec.seed = 13;
+  const TemporalRelation x = MakeWorkloadRelation("x", spec).value();
+  const IntervalStats xs = CoarseStats(x.ComputeStats().value());
+  ASSERT_FALSE(xs.detailed);
+  const GroundTruth truth = BruteForce(x, x);
+  const double n = static_cast<double>(kCount);
+
+  const double est_contain = EstimateContainPairs(xs, xs);
+  ExpectWithinFactor(est_contain, truth.contain_pairs, 32.0, n,
+                     what + " contain pairs");
+  if (truth.contain_pairs > 0 && xs.mean_duration > 0) {
+    EXPECT_GT(est_contain, 0.0) << what;
+  }
+  // `a during b` is the mirror of `a contains b` on a self-join.
+  EXPECT_DOUBLE_EQ(
+      EstimateMaskJoinRows(xs, xs, AllenMask::Single(AllenRelation::kDuring)),
+      est_contain);
+  ExpectWithinFactor(EstimateIntersectingPairs(xs, xs),
+                     truth.intersecting_pairs, 16.0, n,
+                     what + " intersecting pairs");
+}
+
+TEST(EstimatorAccuracyTest, CoarseSelfJoinsEveryDistributionTimesArrangement) {
+  for (Distribution d : AllDistributions()) {
+    for (Arrangement a : AllArrangements()) {
+      CheckCoarseSelfJoin(d, a);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tempus

@@ -318,6 +318,19 @@ TEST(PlannerTest, ProjectionWithAliases) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->schema().attribute(0).name, "Start");
   EXPECT_EQ(result->schema().attribute(1).name, "r.S");
+
+  // Clashing aliases cannot name a schema: the output keeps the input's
+  // attribute names (and its lifespan) instead of failing the query.
+  q.outputs = {{{"r", "ValidFrom"}, "T"}, {{"r", "ValidTo"}, "T"}};
+  plan = planner.Plan(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->explain.find("Project [T, T]"), std::string::npos)
+      << plan->explain;
+  result = plan->Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->schema().attribute(0).name, "ValidFrom");
+  EXPECT_EQ(result->schema().attribute(1).name, "ValidTo");
+  EXPECT_TRUE(result->schema().has_lifespan());
 }
 
 }  // namespace

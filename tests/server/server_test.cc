@@ -4,7 +4,8 @@
 // through the cooperative cancellation hook, admission-control overload
 // rejection, malformed-frame handling, catalog load/drop racing running
 // queries, and graceful shutdown. Built in the TSan tree as the
-// concurrency check next to parallel_test (ROADMAP tier 1).
+// concurrency check next to storage_test's page-I/O counters (ROADMAP
+// tier 1).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -25,6 +26,7 @@
 #include "exec/engine.h"
 #include "relation/csv.h"
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
 #include "testing/test_util.h"
 
@@ -358,6 +360,45 @@ TEST_F(ServerTest, MalformedFramesCloseOnlyTheOffendingSession) {
   TqlClient good = MustConnect();
   Result<QueryResponse> response = good.Query(kWorkload[0]);
   EXPECT_TRUE(response.ok()) << response.status().ToString();
+}
+
+TEST_F(ServerTest, WorkerThreadRequestIsRefusedInBand) {
+  StartServer({});
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // A worker count other than 1 is answered with InvalidArgument.
+  TEMPUS_ASSERT_OK(wire::WriteFrame(
+      fd, wire::FrameType::kQuery,
+      wire::EncodeQueryRequest(0, /*threads=*/8, kWorkload[0])));
+  wire::Frame frame;
+  Result<bool> got = wire::ReadFrame(fd, &frame);
+  ASSERT_TRUE(got.ok() && *got) << got.status().ToString();
+  ASSERT_EQ(frame.type, wire::FrameType::kError);
+  EXPECT_EQ(wire::DecodeError(frame.body).code(),
+            StatusCode::kInvalidArgument);
+
+  // The same session then serves threads=1 normally.
+  TEMPUS_ASSERT_OK(wire::WriteFrame(
+      fd, wire::FrameType::kQuery,
+      wire::EncodeQueryRequest(0, /*threads=*/1, kWorkload[0])));
+  std::string csv;
+  while (true) {
+    got = wire::ReadFrame(fd, &frame);
+    ASSERT_TRUE(got.ok() && *got) << got.status().ToString();
+    ASSERT_NE(frame.type, wire::FrameType::kError)
+        << wire::DecodeError(frame.body).ToString();
+    if (frame.type == wire::FrameType::kRows) csv += frame.body;
+    if (frame.type == wire::FrameType::kDone) break;
+  }
+  ::close(fd);
+  EXPECT_EQ(csv, ExpectedCsv(engine_, kWorkload[0]));
 }
 
 TEST_F(ServerTest, CatalogLoadAndDropCannotCorruptRunningQueries) {

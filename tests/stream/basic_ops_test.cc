@@ -46,6 +46,26 @@ TEST(ProjectStreamTest, ReordersAndDrops) {
   EXPECT_EQ(out.tuple(0)[1].int_value(), 0);
 }
 
+TEST(ProjectStreamTest, NamesRenameOutputAndKeepTheLifespan) {
+  const TemporalRelation rel = MakeIntervals("R", {{1, 2}});
+  Result<std::unique_ptr<ProjectStream>> project = ProjectStream::Create(
+      VectorStream::Scan(rel), {3, 2, 0}, {"end", "start", "id"});
+  ASSERT_TRUE(project.ok()) << project.status().ToString();
+  const Schema& schema = (*project)->schema();
+  EXPECT_EQ(schema.attribute(0).name, "end");
+  EXPECT_EQ(schema.attribute(2).name, "id");
+  ASSERT_TRUE(schema.has_lifespan());
+  EXPECT_EQ(schema.valid_from_index(), 1u);
+  EXPECT_EQ(schema.valid_to_index(), 0u);
+  const TemporalRelation out = MustMaterialize(project->get(), "out");
+  EXPECT_EQ(out.LifespanOf(0), Interval(1, 2));
+
+  EXPECT_FALSE(ProjectStream::Create(VectorStream::Scan(rel), {3, 2}, {"x"})
+                   .ok());
+  EXPECT_FALSE(
+      ProjectStream::Create(VectorStream::Scan(rel), {3, 2}, {"x", "x"}).ok());
+}
+
 TEST(ProjectStreamTest, RejectsBadIndex) {
   const TemporalRelation rel = MakeIntervals("R", {{1, 2}});
   EXPECT_FALSE(ProjectStream::Create(VectorStream::Scan(rel), {9}).ok());
