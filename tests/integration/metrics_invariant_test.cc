@@ -13,6 +13,7 @@
 //      and the live peak never exceeds the insertions that fed it.
 
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,11 @@ struct InvariantWorkload {
   double mean_duration;
   uint64_t seed;
 };
+
+// Without a printer gtest dumps the raw bytes, including the `name`
+// pointer, into the `# GetParam()` suffix that gtest_discover_tests puts in
+// every test name; ASLR then gives the tests a new name on each build.
+void PrintTo(const InvariantWorkload& w, std::ostream* os) { *os << w.name; }
 
 class MetricsInvariantTest
     : public ::testing::TestWithParam<InvariantWorkload> {
