@@ -67,6 +67,7 @@ inline constexpr const char* kKnownFaultPoints[] = {
     "buffer.evict",       // BufferManager eviction under frame pressure
     "batch.alloc",        // TupleBatch::Reserve (batch column allocation)
     "stats.build",        // BuildIntervalStats (analyze statistics scan)
+    "relation.compute_stats",  // TemporalRelation::ComputeStats (scalars)
     "coalesce.merge",     // CoalesceStream accumulator merge step
     "kernel.eval",        // PredicateKernel::EvalBatch (vectorized filter)
 };

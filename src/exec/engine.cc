@@ -153,10 +153,16 @@ Status Engine::SaveCsv(const std::string& name,
 
 Result<std::shared_ptr<const IntervalStats>> Engine::AnalyzeRelation(
     const std::string& name) const {
-  Result<const TemporalRelation*> mem = catalog_.Lookup(name);
+  // The shared entry pins the relation for the whole scan, so a
+  // concurrent Drop or replace cannot free it mid-analyze; its cached
+  // scalars spare BuildIntervalStats a second pass over the tuples.
+  Result<std::shared_ptr<const CatalogEntry>> entry =
+      catalog_.LookupEntry(name);
   IntervalStats stats;
-  if (mem.ok()) {
-    TEMPUS_ASSIGN_OR_RETURN(stats, BuildIntervalStats(**mem));
+  if (entry.ok()) {
+    TEMPUS_ASSIGN_OR_RETURN(RelationStats scalars, (*entry)->Stats());
+    TEMPUS_ASSIGN_OR_RETURN(
+        stats, BuildIntervalStats((*entry)->relation(), scalars));
   } else {
     // Disk-backed relation: materialize through the buffer pool (analyze
     // is a full scan by definition; the pool bounds residency).

@@ -16,9 +16,11 @@ namespace tempus {
 /// each estimator to its Table 1–3 state characterization.
 ///
 /// Two tiers of statistics feed the model: coarse scalars
-/// (`RelationStats`, computed on the fly) assume stationary arrivals with
-/// rate lambda = 1/mean_interarrival and independent durations, so the
-/// expected number of lifespans covering a time point (Little's law) is
+/// (`RelationStats`, computed once per catalog entry or at spill time;
+/// docs/OPTIMIZER.md "Where statistics come from") assume stationary
+/// arrivals with rate lambda = 1/mean_interarrival and independent
+/// durations, so the expected number of lifespans covering a time point
+/// (Little's law) is
 ///     concurrency(R) = mean_duration(R) / mean_interarrival(R);
 /// detailed statistics (`IntervalStats`, built by `analyze <relation>`)
 /// replace that stationarity assumption with the measured live-tuple

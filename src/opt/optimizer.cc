@@ -23,22 +23,14 @@ const char* OptimizerModeName(OptimizerMode mode) {
   return mode == OptimizerMode::kCostBased ? "cost-based" : "heuristic";
 }
 
-IntervalStats Optimizer::StatsFor(const std::string& name,
-                                  const RelationStats& fallback) const {
+std::shared_ptr<const IntervalStats> Optimizer::DetailedStats(
+    const std::string& name) const {
   // Heuristic mode plans from coarse scalars only, so TEMPUS_OPTIMIZER=off
   // reproduces the pre-optimizer planner exactly even after `analyze`.
-  if (cost_based() && stats_catalog_ != nullptr) {
-    std::shared_ptr<const IntervalStats> stored =
-        stats_catalog_->Lookup(name);
-    if (stored != nullptr && stored->detailed) return *stored;
-  }
-  return CoarseStats(fallback);
-}
-
-bool Optimizer::HasDetailedStats(const std::string& name) const {
-  if (stats_catalog_ == nullptr) return false;
+  if (!cost_based() || stats_catalog_ == nullptr) return nullptr;
   std::shared_ptr<const IntervalStats> stored = stats_catalog_->Lookup(name);
-  return stored != nullptr && stored->detailed;
+  if (stored == nullptr || !stored->detailed) return nullptr;
+  return stored;
 }
 
 OrderChoice Optimizer::ChooseContainJoinOrder(

@@ -2,6 +2,7 @@
 #define TEMPUS_OPT_OPTIMIZER_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,14 +56,11 @@ class Optimizer {
   OptimizerMode mode() const { return mode_; }
   bool cost_based() const { return mode_ == OptimizerMode::kCostBased; }
 
-  /// Best available statistics for relation `name`: the analyzed
-  /// IntervalStats when the catalog has them, else coarse statistics from
-  /// the scalar fallback.
-  IntervalStats StatsFor(const std::string& name,
-                         const RelationStats& fallback) const;
-
-  /// True when `name` has analyze-built (detailed) statistics.
-  bool HasDetailedStats(const std::string& name) const;
+  /// The analyze-built statistics for relation `name`, shared with the
+  /// stats catalog (no copy); null when there are none, or in heuristic
+  /// mode, where the planner must cost from coarse scalars alone.
+  std::shared_ptr<const IntervalStats> DetailedStats(
+      const std::string& name) const;
 
   /// Chooses the contain-join right order by total cost: workspace of the
   /// Table 1 (a)/(b) alternative plus the enforcer-sort cost it induces

@@ -128,26 +128,33 @@ std::string Indent(const std::string& block) {
 }
 
 /// A range variable's resolved storage — exactly one of the two handles is
-/// set. In-memory relations are borrowed from the catalog (kept alive by
-/// the snapshot the planner runs against); disk-backed relations are
-/// shared handles planned from their spill-time metadata (schema, declared
-/// order, pre-computed stats) and scanned through the buffer pool.
+/// set, and both are shared, so the relation outlives a concurrent Drop.
+/// In-memory relations come with their catalog entry, whose scalar stats
+/// are computed at most once for all plans and snapshots; disk-backed
+/// relations are planned from their spill-time metadata (schema, declared
+/// order, stats) and scanned through the buffer pool.
 struct BoundRel {
-  const TemporalRelation* mem = nullptr;
+  std::shared_ptr<const CatalogEntry> entry;
   std::shared_ptr<const PagedRelation> paged;
 
+  const TemporalRelation* mem() const {
+    return entry != nullptr ? &entry->relation() : nullptr;
+  }
   const Schema& schema() const {
-    return mem != nullptr ? mem->schema() : paged->schema();
+    return entry != nullptr ? mem()->schema() : paged->schema();
   }
   const std::string& name() const {
-    return mem != nullptr ? mem->name() : paged->name();
+    return entry != nullptr ? mem()->name() : paged->name();
   }
-  size_t size() const { return mem != nullptr ? mem->size() : paged->size(); }
+  size_t size() const {
+    return entry != nullptr ? mem()->size() : paged->size();
+  }
   const std::optional<SortSpec>& known_order() const {
-    return mem != nullptr ? mem->known_order() : paged->known_order();
+    return entry != nullptr ? mem()->known_order() : paged->known_order();
   }
+  /// Stored scalar stats: the entry's cached copy, or the spill-time copy.
   Result<RelationStats> Stats() const {
-    if (mem != nullptr) return mem->ComputeStats();
+    if (entry != nullptr) return entry->Stats();
     if (paged->stats().has_value()) return *paged->stats();
     return Status::FailedPrecondition(
         "disk-backed relation has no spill-time stats: " + paged->name());
@@ -155,8 +162,8 @@ struct BoundRel {
   /// True when two range variables scan the same stored relation (the
   /// self-join detection pointer compare, generalized to both kinds).
   bool SameSource(const BoundRel& o) const {
-    return mem != nullptr ? mem == o.mem
-                          : (o.paged != nullptr && paged == o.paged);
+    return entry != nullptr ? entry == o.entry
+                            : (o.paged != nullptr && paged == o.paged);
   }
 };
 
@@ -207,9 +214,12 @@ class PlanBuilder {
   // --- sequenced whole-relation statements ---------------------------------
   // (outer/anti joins, set operations, coalescing; docs/TQL.md.)
   Result<PlannedQuery> BuildSequenced();
-  Result<BoundRel> BindSequencedRel(const std::string& name) const;
-  Result<SubPlan> BuildSequencedScan(const BoundRel& rel) const;
-  std::optional<IntervalStats> StatsOf(const BoundRel& rel) const;
+  Result<SubPlan> BuildSequencedScan(const BoundRel& rel,
+                                     bool have_stats) const;
+
+  /// Resolves `name` against the catalog: in-memory entry first, else the
+  /// disk-backed relation.
+  Result<BoundRel> BindRel(const std::string& name) const;
 
   // Compiles every still-unapplied deferred/essential predicate that is
   // fully contained in `plan`'s variables into a filter.
@@ -220,21 +230,19 @@ class PlanBuilder {
                                      std::vector<size_t> pending_ids) const;
 
   // --- cost estimation -----------------------------------------------------
-  /// Best available statistics for `var`: analyze-built interval stats
-  /// when present, else coarse stats from the relation's scalars; nullopt
-  /// when even scalars are unavailable (disk-backed without spill stats).
-  std::optional<IntervalStats> VarStats(size_t var) const {
-    Result<RelationStats> scalars = relations_[var].Stats();
-    if (!scalars.ok()) return std::nullopt;
-    return optimizer_.StatsFor(relations_[var].name(), *scalars);
-  }
-  /// True when both sides of a pair carry analyze-built statistics and the
-  /// optimizer runs cost-based — the gate for the batch-size
-  /// decision, so un-analyzed catalogs plan exactly as before.
-  bool DetailedPair(size_t lv, size_t rv) const {
-    return optimizer_.cost_based() &&
-           optimizer_.HasDetailedStats(relations_[lv].name()) &&
-           optimizer_.HasDetailedStats(relations_[rv].name());
+  /// Best available statistics for `rel` (docs/OPTIMIZER.md, "Where
+  /// statistics come from"): analyze-built interval stats when the
+  /// optimizer runs cost-based and has them, else coarse stats from the
+  /// relation's stored scalars; null when the relation has no lifespan or
+  /// no scalars (disk-backed without spill stats). The scalars are not
+  /// touched when detailed stats exist.
+  std::shared_ptr<const IntervalStats> StatsOf(const BoundRel& rel) const;
+  /// StatsOf for range variable `var`, resolved once per Plan call.
+  const IntervalStats* VarStats(size_t var) const {
+    if (!var_stats_[var].has_value()) {
+      var_stats_[var] = StatsOf(relations_[var]);
+    }
+    return var_stats_[var]->get();
   }
   /// Estimated fraction of `var`'s tuples passing its pushed selections.
   double SelectionSelectivity(size_t var, const IntervalStats& stats) const;
@@ -280,6 +288,9 @@ class PlanBuilder {
 
   std::vector<BoundRel> relations_;
   std::vector<std::string> var_names_;
+  // VarStats memo, one slot per range variable (nullopt: not resolved yet).
+  mutable std::vector<std::optional<std::shared_ptr<const IntervalStats>>>
+      var_stats_;
 
   std::vector<std::vector<Selection>> selections_;  // Per var.
   std::vector<EquiLink> equi_links_;
@@ -390,20 +401,12 @@ Status PlanBuilder::Resolve() {
     if (!seen.insert(rv.name).second) {
       return Status::InvalidArgument("duplicate range variable: " + rv.name);
     }
-    BoundRel bound;
-    const Result<const TemporalRelation*> rel = catalog_->Lookup(rv.relation);
-    if (rel.ok()) {
-      bound.mem = rel.value();
-    } else {
-      Result<std::shared_ptr<const PagedRelation>> paged =
-          catalog_->LookupPaged(rv.relation);
-      if (!paged.ok()) return rel.status();  // The canonical NotFound text.
-      bound.paged = std::move(paged).value();
-    }
+    TEMPUS_ASSIGN_OR_RETURN(BoundRel bound, BindRel(rv.relation));
     relations_.push_back(std::move(bound));
     var_names_.push_back(rv.name);
   }
   selections_.resize(var_names_.size());
+  var_stats_.resize(var_names_.size());
   return Status::Ok();
 }
 
@@ -601,8 +604,8 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
   SubPlan plan;
   const BoundRel& rel = relations_[var];
   std::unique_ptr<TupleStream> stream;
-  if (rel.mem != nullptr) {
-    stream = VectorStream::Scan(*rel.mem);
+  if (rel.entry != nullptr) {
+    stream = VectorStream::Scan(*rel.mem());
     plan.explain =
         "Scan " + rel.name() + StrFormat(" [%zu tuples]", rel.size());
   } else {
@@ -628,8 +631,8 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
   }
   plan.stream = std::move(stream);
   plan.var_offsets[var] = 0;
-  const std::optional<IntervalStats> stats = VarStats(var);
-  if (stats.has_value()) {
+  const IntervalStats* stats = VarStats(var);
+  if (stats != nullptr) {
     SetEst(&plan, static_cast<double>(rel.size()), 0.0);
   }
   if (!selections_[var].empty()) {
@@ -663,7 +666,7 @@ Result<SubPlan> PlanBuilder::BuildBase(size_t var) const {
         std::move(plan.stream), std::move(compiled), sels.size());
     plan.explain = "Select [" + Join(displays, " and ") + "]" +
                    FilterKernelNote(vectorized) + "\n" + Indent(plan.explain);
-    if (stats.has_value()) {
+    if (stats != nullptr) {
       SetEst(&plan,
              static_cast<double>(rel.size()) *
                  SelectionSelectivity(var, *stats),
@@ -942,11 +945,11 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
   const Schema& rschema = relations_[rv].schema();
 
   // --- cost estimation context for this pair ---
-  const std::optional<IntervalStats> lstats = VarStats(lv);
-  const std::optional<IntervalStats> rstats = VarStats(rv);
+  const IntervalStats* lstats = VarStats(lv);
+  const IntervalStats* rstats = VarStats(rv);
   const NodeEstimate left_in = left.est;    // Filtered input cardinalities
   const NodeEstimate right_in = right.est;  // (before any enforcer sorts).
-  const bool have_stats = lstats.has_value() && rstats.has_value() &&
+  const bool have_stats = lstats != nullptr && rstats != nullptr &&
                           left_in.valid && right_in.valid;
   // Scales a whole-relation pair estimate down by the fraction of each
   // input surviving its pushed selections.
@@ -962,9 +965,9 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
   };
   // Batch-vs-tuple path: decided by the cost model only when both inputs
   // carry analyze-built statistics, so un-analyzed catalogs keep the
-  // environment-driven default (and TEMPUS_OPTIMIZER=off reproduces it
-  // exactly).
-  if (have_stats && DetailedPair(lv, rv)) {
+  // environment-driven default (and TEMPUS_OPTIMIZER=off, which never
+  // sees detailed stats, reproduces it exactly).
+  if (have_stats && lstats->detailed && rstats->detailed) {
     const size_t batch =
         optimizer_.ChooseBatchSize(left_in.rows + right_in.rows, BatchSize());
     if (batch != BatchSize()) {
@@ -1224,7 +1227,7 @@ Result<SubPlan> PlanBuilder::PlanTwoVarStream(SubPlan left, SubPlan right,
       TemporalSortOrder right_order = right_known.value_or(kByValidFromAsc);
       double chosen_ws = 0.0;
       bool have_ws = false;
-      if (lstats.has_value() && rstats.has_value()) {
+      if (lstats != nullptr && rstats != nullptr) {
         const OrderChoice choice =
             optimizer_.ChooseContainJoinOrder(*lstats, *rstats, right_known);
         right_order = choice.right_order;
@@ -1553,9 +1556,9 @@ Result<std::optional<SubPlan>> PlanBuilder::TrySuperstar() {
           BatchNote() + "\n" + Indent(gap_plan.explain) + "\n" +
           Indent(c_plan.explain);
       if (gap_plan.est.valid) {
-        const std::optional<IntervalStats> cs = VarStats(c);
+        const IntervalStats* cs = VarStats(c);
         SetEst(&plan, gap_plan.est.rows * kDefaultPairSelectivity,
-               cs.has_value() ? EstimateSweepSemijoin(*cs).tuples : 0.0);
+               cs != nullptr ? EstimateSweepSemijoin(*cs).tuples : 0.0);
       }
       notes_ += "recognized Superstar pattern: less-than join -> "
                 "Contained-semijoin\n";
@@ -1581,16 +1584,14 @@ Result<SubPlan> PlanBuilder::PlanCascade() {
   if (optimizer_.cost_based() && n >= 3 && !query_.outputs.empty()) {
     std::vector<double> base_rows(n, 1.0);
     bool have_all = true;
-    std::vector<IntervalStats> stats(n);
     for (size_t i = 0; i < n && have_all; ++i) {
-      std::optional<IntervalStats> s = VarStats(i);
-      if (!s.has_value()) {
+      const IntervalStats* s = VarStats(i);
+      if (s == nullptr) {
         have_all = false;
         break;
       }
-      stats[i] = *std::move(s);
-      base_rows[i] = static_cast<double>(stats[i].tuple_count) *
-                     SelectionSelectivity(i, stats[i]);
+      base_rows[i] = static_cast<double>(s->tuple_count) *
+                     SelectionSelectivity(i, *s);
     }
     if (have_all) {
       auto pair_selectivity = [this](size_t u, size_t v) {
@@ -1789,31 +1790,41 @@ Result<SubPlan> PlanBuilder::Finalize(SubPlan plan) {
   return plan;
 }
 
-Result<BoundRel> PlanBuilder::BindSequencedRel(const std::string& name) const {
+Result<BoundRel> PlanBuilder::BindRel(const std::string& name) const {
   BoundRel bound;
-  const Result<const TemporalRelation*> rel = catalog_->Lookup(name);
-  if (rel.ok()) {
-    bound.mem = rel.value();
+  Result<std::shared_ptr<const CatalogEntry>> entry =
+      catalog_->LookupEntry(name);
+  if (entry.ok()) {
+    bound.entry = std::move(entry).value();
   } else {
     Result<std::shared_ptr<const PagedRelation>> paged =
         catalog_->LookupPaged(name);
-    if (!paged.ok()) return rel.status();  // The canonical NotFound text.
+    if (!paged.ok()) return entry.status();  // The canonical NotFound text.
     bound.paged = std::move(paged).value();
   }
   return bound;
 }
 
-std::optional<IntervalStats> PlanBuilder::StatsOf(const BoundRel& rel) const {
+std::shared_ptr<const IntervalStats> PlanBuilder::StatsOf(
+    const BoundRel& rel) const {
+  // No lifespan, no statistics of either kind — whatever the stats
+  // catalog may still hold under a replaced relation's name.
+  if (!rel.schema().has_lifespan()) return nullptr;
+  if (std::shared_ptr<const IntervalStats> detailed =
+          optimizer_.DetailedStats(rel.name())) {
+    return detailed;
+  }
   Result<RelationStats> scalars = rel.Stats();
-  if (!scalars.ok()) return std::nullopt;
-  return optimizer_.StatsFor(rel.name(), *scalars);
+  if (!scalars.ok()) return nullptr;
+  return std::make_shared<const IntervalStats>(CoarseStats(*scalars));
 }
 
-Result<SubPlan> PlanBuilder::BuildSequencedScan(const BoundRel& rel) const {
+Result<SubPlan> PlanBuilder::BuildSequencedScan(const BoundRel& rel,
+                                                bool have_stats) const {
   SubPlan plan;
   std::unique_ptr<TupleStream> stream;
-  if (rel.mem != nullptr) {
-    stream = VectorStream::Scan(*rel.mem);
+  if (rel.entry != nullptr) {
+    stream = VectorStream::Scan(*rel.mem());
     plan.explain =
         "Scan " + rel.name() + StrFormat(" [%zu tuples]", rel.size());
   } else {
@@ -1834,7 +1845,7 @@ Result<SubPlan> PlanBuilder::BuildSequencedScan(const BoundRel& rel) const {
     }
   }
   plan.stream = std::move(stream);
-  if (StatsOf(rel).has_value()) {
+  if (have_stats) {
     SetEst(&plan, static_cast<double>(rel.size()), 0.0);
   }
   StampLabel(&plan);
@@ -1848,9 +1859,10 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
   const bool verify = options_.verify_sorted_inputs;
 
   TEMPUS_ASSIGN_OR_RETURN(BoundRel left_rel,
-                          BindSequencedRel(query_.sequenced_left));
-  TEMPUS_ASSIGN_OR_RETURN(SubPlan left, BuildSequencedScan(left_rel));
-  const std::optional<IntervalStats> ls = StatsOf(left_rel);
+                          BindRel(query_.sequenced_left));
+  const std::shared_ptr<const IntervalStats> ls = StatsOf(left_rel);
+  TEMPUS_ASSIGN_OR_RETURN(SubPlan left,
+                          BuildSequencedScan(left_rel, ls != nullptr));
   SubPlan plan;
 
   if (query_.sequenced_op == SequencedOp::kCoalesce) {
@@ -1888,9 +1900,10 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
     }
   } else {
     TEMPUS_ASSIGN_OR_RETURN(BoundRel right_rel,
-                            BindSequencedRel(query_.sequenced_right));
-    TEMPUS_ASSIGN_OR_RETURN(SubPlan right, BuildSequencedScan(right_rel));
-    const std::optional<IntervalStats> rs = StatsOf(right_rel);
+                            BindRel(query_.sequenced_right));
+    const std::shared_ptr<const IntervalStats> rs = StatsOf(right_rel);
+    TEMPUS_ASSIGN_OR_RETURN(SubPlan right,
+                            BuildSequencedScan(right_rel, rs != nullptr));
     const double ln = static_cast<double>(left_rel.size());
     const double rn = static_cast<double>(right_rel.size());
     // Every sequenced binary operator sweeps two ValidFrom^ inputs.
@@ -1898,7 +1911,7 @@ Result<PlannedQuery> PlanBuilder::BuildSequenced() {
                             EnsureOrder(std::move(left), kByValidFromAsc));
     TEMPUS_ASSIGN_OR_RETURN(right,
                             EnsureOrder(std::move(right), kByValidFromAsc));
-    const bool have_est = ls.has_value() && rs.has_value();
+    const bool have_est = ls != nullptr && rs != nullptr;
     double rows = 0.0;
     double ws = 0.0;
     std::string name;

@@ -7,6 +7,15 @@
 
 namespace tempus {
 
+Result<RelationStats> CatalogEntry::Stats() const {
+  // Held across the scan, so concurrent first callers wait for one result.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!stats_.has_value()) {
+    TEMPUS_ASSIGN_OR_RETURN(stats_, relation_.ComputeStats());
+  }
+  return *stats_;
+}
+
 Status Catalog::Register(TemporalRelation relation) {
   TEMPUS_FAULT_POINT("catalog.register");
   const std::string name = relation.name();
@@ -15,7 +24,7 @@ Status Catalog::Register(TemporalRelation relation) {
     return Status::AlreadyExists("relation already registered: " + name);
   }
   relations_.emplace(
-      name, std::make_shared<const TemporalRelation>(std::move(relation)));
+      name, std::make_shared<const CatalogEntry>(std::move(relation)));
   return Status::Ok();
 }
 
@@ -24,7 +33,7 @@ void Catalog::RegisterOrReplace(TemporalRelation relation) {
   std::unique_lock<std::shared_mutex> lock(*mu_);
   paged_.erase(name);
   relations_.insert_or_assign(
-      name, std::make_shared<const TemporalRelation>(std::move(relation)));
+      name, std::make_shared<const CatalogEntry>(std::move(relation)));
 }
 
 Status Catalog::RegisterPaged(const std::string& name,
@@ -75,7 +84,17 @@ Result<const TemporalRelation*> Catalog::Lookup(
   if (it == relations_.end()) {
     return Status::NotFound("unknown relation: " + name);
   }
-  return it->second.get();
+  return &it->second->relation();
+}
+
+Result<std::shared_ptr<const CatalogEntry>> Catalog::LookupEntry(
+    const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(*mu_);
+  auto it = relations_.find(name);
+  if (it == relations_.end()) {
+    return Status::NotFound("unknown relation: " + name);
+  }
+  return it->second;
 }
 
 bool Catalog::Contains(const std::string& name) const {

@@ -3,6 +3,8 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -14,6 +16,31 @@ namespace tempus {
 
 class PagedRelation;
 
+/// One registered in-memory relation plus a slot for its scalar statistics,
+/// computed at most once. The relation is immutable, so the first successful
+/// ComputeStats() stays valid for the entry's whole life; every Snapshot()
+/// shares the entry (and so the slot), and RegisterOrReplace / Drop retire
+/// both together. Nothing is computed at registration: the planner fills
+/// the slot on first use, and never when `analyze` statistics make the
+/// scalars unnecessary. A failed computation (non-temporal schema,
+/// injected fault) is returned but not cached, so the next call retries.
+class CatalogEntry {
+ public:
+  explicit CatalogEntry(TemporalRelation relation)
+      : relation_(std::move(relation)) {}
+
+  const TemporalRelation& relation() const { return relation_; }
+
+  /// The relation's ComputeStats(), from the slot once it is filled.
+  /// Thread-safe: concurrent first callers compute once between them.
+  Result<RelationStats> Stats() const;
+
+ private:
+  const TemporalRelation relation_;
+  mutable std::mutex mu_;
+  mutable std::optional<RelationStats> stats_;  // Guarded by mu_.
+};
+
 /// A named collection of relations — what query range variables resolve
 /// against ("range of f1 is Faculty"). Entries are either in-memory
 /// TemporalRelations or disk-backed PagedRelations (spilled through the
@@ -22,14 +49,14 @@ class PagedRelation;
 /// declared here), so the relation library stays independent of storage.
 ///
 /// Concurrency: relations are stored as shared handles to immutable
-/// objects, and every member takes a reader/writer lock, so Register /
+/// entries, and every member takes a reader/writer lock, so Register /
 /// RegisterOrReplace / Drop are safe against concurrent lookups. A raw
 /// pointer returned by Lookup() is only guaranteed to stay valid while no
 /// concurrent Drop/replace can retire the relation — cross-thread
 /// executions (the TQL server) therefore plan against Snapshot(), whose
 /// shared handles keep every relation alive for the life of the snapshot
 /// even if the source catalog drops it mid-query (snapshot-consistent
-/// reads; docs/SERVER.md).
+/// reads; docs/SERVER.md), or hold the LookupEntry() handle.
 class Catalog {
  public:
   Catalog() = default;
@@ -47,6 +74,12 @@ class Catalog {
   Status Drop(const std::string& name);
 
   Result<const TemporalRelation*> Lookup(const std::string& name) const;
+
+  /// The in-memory entry registered under `name`: a shared handle that
+  /// keeps the relation alive across a concurrent Drop/replace (unlike
+  /// Lookup's raw pointer) and carries its cached statistics.
+  Result<std::shared_ptr<const CatalogEntry>> LookupEntry(
+      const std::string& name) const;
 
   /// Registers a disk-backed relation under `name` (the caller passes the
   /// relation's own name; this layer cannot read it from the forward-
@@ -78,7 +111,7 @@ class Catalog {
 
  private:
   using RelationMap =
-      std::map<std::string, std::shared_ptr<const TemporalRelation>>;
+      std::map<std::string, std::shared_ptr<const CatalogEntry>>;
   using PagedMap =
       std::map<std::string, std::shared_ptr<const PagedRelation>>;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/fault.h"
 #include "common/string_util.h"
 
 namespace tempus {
@@ -76,6 +77,7 @@ Interval TemporalRelation::LifespanOf(size_t i) const {
 }
 
 Result<RelationStats> TemporalRelation::ComputeStats() const {
+  TEMPUS_FAULT_POINT("relation.compute_stats");
   if (!schema_.has_lifespan()) {
     return Status::FailedPrecondition(
         "stats require a temporal schema: " + schema_.ToString());

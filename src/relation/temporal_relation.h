@@ -75,7 +75,9 @@ class TemporalRelation {
   /// Lifespan of tuple i; schema must be temporal.
   Interval LifespanOf(size_t i) const;
 
-  /// Computes instance statistics in O(n log n).
+  /// Computes instance statistics in O(n log n). Carries the
+  /// "relation.compute_stats" fault point (docs/TESTING.md); planners read
+  /// the once-computed copy in the relation's CatalogEntry instead.
   Result<RelationStats> ComputeStats() const;
 
   /// Multiset equality with another relation (order-insensitive); used by

@@ -462,8 +462,18 @@ IntervalStats CoarseStats(const RelationStats& scalars) {
 
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
                                          size_t buckets) {
-  TEMPUS_FAULT_POINT("stats.build");
   TEMPUS_ASSIGN_OR_RETURN(RelationStats scalars, relation.ComputeStats());
+  return BuildIntervalStats(relation, scalars, buckets);
+}
+
+Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
+                                         const RelationStats& scalars,
+                                         size_t buckets) {
+  TEMPUS_FAULT_POINT("stats.build");
+  if (!relation.schema().has_lifespan()) {
+    return Status::FailedPrecondition("stats require a temporal schema: " +
+                                      relation.schema().ToString());
+  }
   IntervalStats stats = CoarseStats(scalars);
   stats.detailed = true;
   const size_t n = relation.size();

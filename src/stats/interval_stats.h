@@ -100,6 +100,13 @@ struct IntervalStats {
 Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
                                          size_t buckets = 32);
 
+/// As above, but takes the relation's scalars (its ComputeStats(), e.g.
+/// the copy cached in a CatalogEntry) instead of rescanning for them, so
+/// an `analyze` reads the tuples once.
+Result<IntervalStats> BuildIntervalStats(const TemporalRelation& relation,
+                                         const RelationStats& scalars,
+                                         size_t buckets = 32);
+
 /// Coarse statistics from scalars only (no histograms); used when a
 /// relation has never been analyzed. `detailed` is false.
 IntervalStats CoarseStats(const RelationStats& scalars);

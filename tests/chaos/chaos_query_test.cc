@@ -1,6 +1,8 @@
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -410,6 +412,48 @@ TEST_F(ChaosQueryTest, AnalyzeFaultFailsCleanlyAndRetries) {
             StatsCatalog::Freshness::kFresh);
 }
 
+TEST_F(ChaosQueryTest, AnalyzeRacesDropAndReload) {
+  // The wire lets one connection `analyze R` while another drops and
+  // reloads R. The analyze scan must pin the relation it reads: under ASan
+  // and TSan a raw catalog pointer here is a use-after-free.
+  WorkloadSpec spec;
+  spec.count = 2000;
+  spec.seed = 17;
+  Result<TemporalRelation> r = MakeWorkloadRelation("R", spec);
+  TEMPUS_ASSERT_OK(r.status());
+  Engine engine;
+  TEMPUS_ASSERT_OK(engine.RegisterValidated(*r));
+
+  constexpr int kIterations = 300;
+  std::atomic<int> analyze_failures{0};
+  std::atomic<int> reload_failures{0};
+  std::thread analyzer([&] {
+    for (int i = 0; i < kIterations; ++i) {
+      const Result<TemporalRelation> out = engine.Run("analyze R");
+      // Between a drop and the reload, R is simply not there.
+      if (!out.ok() && out.status().code() != StatusCode::kNotFound) {
+        analyze_failures.fetch_add(1);
+      }
+    }
+  });
+  std::thread reloader([&] {
+    for (int i = 0; i < kIterations; ++i) {
+      const Status dropped = engine.DropRelation("R");
+      const Status loaded = engine.RegisterValidated(*r);
+      if (!dropped.ok() || !loaded.ok()) reload_failures.fetch_add(1);
+    }
+  });
+  analyzer.join();
+  reloader.join();
+  EXPECT_EQ(analyze_failures.load(), 0);
+  EXPECT_EQ(reload_failures.load(), 0);
+
+  // The engine is intact: a final analyze sees the reloaded relation.
+  TEMPUS_ASSERT_OK(engine.Run("analyze R").status());
+  ASSERT_NE(engine.stats().Lookup("R"), nullptr);
+  EXPECT_EQ(engine.stats().Lookup("R")->tuple_count, r->size());
+}
+
 TEST_F(ChaosQueryTest, EveryPipelineFaultPointIsReachable) {
   // Arm a sentinel that never fires: hit accounting turns on for every
   // point the drivers below reach, proving the registry is live code, not
@@ -427,7 +471,8 @@ TEST_F(ChaosQueryTest, EveryPipelineFaultPointIsReachable) {
   Result<TemporalRelation> out = engine.Run(
       "range of a is R range of b is R retrieve (a.S) where a during b");
   TEMPUS_ASSERT_OK(out.status());
-  // stats.build via the analyze statement.
+  // relation.compute_stats via the un-analyzed plan above; stats.build via
+  // the analyze statement.
   TEMPUS_ASSERT_OK(engine.Run("analyze R").status());
   TEMPUS_ASSERT_OK(engine.DropRelation("R"));
 
@@ -476,7 +521,7 @@ TEST_F(ChaosQueryTest, EveryPipelineFaultPointIsReachable) {
        {"stream.open", "stream.next", "storage.page_read",
         "storage.sort_spill", "storage.sort_merge", "catalog.register",
         "catalog.drop", "buffer.page_write", "buffer.page_read",
-        "buffer.evict", "stats.build"}) {
+        "buffer.evict", "stats.build", "relation.compute_stats"}) {
     EXPECT_TRUE(seen_set.count(point)) << "never reached: " << point;
   }
 }

@@ -69,25 +69,22 @@ TEST(OptimizerModeTest, EnvParsing) {
 
 TEST(OptimizerTest, HeuristicModeIgnoresDetailedStats) {
   // TEMPUS_OPTIMIZER=off must reproduce the pre-optimizer planner even
-  // after `analyze`: StatsFor falls back to coarse scalars.
+  // after `analyze`: DetailedStats hides the analyzed statistics, so the
+  // planner falls back to coarse scalars.
   StatsCatalog catalog;
   IntervalStats detailed =
       BuildIntervalStats(MakeIntervals("r", {{0, 10}, {2, 8}, {4, 12}}))
           .value();
   catalog.Put("r", detailed);
 
-  RelationStats fallback;
-  fallback.tuple_count = 3;
-  fallback.mean_duration = 8.0;
-  fallback.mean_interarrival = 2.0;
-
   const Optimizer heuristic(OptimizerMode::kHeuristic, &catalog);
-  EXPECT_FALSE(heuristic.StatsFor("r", fallback).detailed);
+  EXPECT_EQ(heuristic.DetailedStats("r"), nullptr);
 
   const Optimizer cost(OptimizerMode::kCostBased, &catalog);
-  EXPECT_TRUE(cost.StatsFor("r", fallback).detailed);
-  EXPECT_TRUE(cost.HasDetailedStats("r"));
-  EXPECT_FALSE(cost.HasDetailedStats("missing"));
+  ASSERT_NE(cost.DetailedStats("r"), nullptr);
+  EXPECT_TRUE(cost.DetailedStats("r")->detailed);
+  EXPECT_EQ(cost.DetailedStats("r"), catalog.Lookup("r"));  // Shared, no copy.
+  EXPECT_EQ(cost.DetailedStats("missing"), nullptr);
 }
 
 TEST(OptimizerTest, HeuristicReusesFreeOrderUnconditionally) {
